@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"centralium/internal/chaos"
 	"centralium/internal/fabric"
@@ -61,7 +62,7 @@ func main() {
 		rackPfx = flag.Bool("rack-prefixes", false, "originate one /24 per rack and run east-west traffic")
 
 		chaosMode = flag.Bool("chaos", false, "run a chaos scenario instead of the plain build")
-		scenario  = flag.String("scenario", "decommission", "chaos scenario (decommission | pod-drain)")
+		scenario  = flag.String("scenario", "decommission", "chaos scenario ("+strings.Join(chaos.Scenarios(), " | ")+")")
 		arm       = flag.String("arm", "native", "chaos arm (native | rpa)")
 		faults    = flag.Int("faults", 4, "chaos faults to plan")
 		chaosLog  = flag.Bool("chaos-log", false, "print the full canonical chaos run log")

@@ -13,9 +13,13 @@
 // execution supervisor instead of the bare measurement harness:
 // telemetry-checked waves, rollback to last-good on an -envelope
 // violation, up to -max-retries degraded retries per wave, quarantine
-// and abort past that. Scenario 1 guards the fig10 expansion campaign
-// and scenario 2 the decommission campaign; scenario 3 exercises
-// hardware NHG limits that have no campaign form and cannot be guarded.
+// and abort past that. The guarded campaigns come from the migration
+// scenario registry, not from the measurement harness: scenario 1 guards
+// the registry's fig10 campaign (the §5.3.2 equalization rollout on the
+// Figure 10 fabric, not scenario 1's expansion fabric), and scenario 2
+// the decommission campaign, on the same converged base scenario 2
+// measures. Scenario 3 exercises hardware NHG limits that have no
+// campaign form and cannot be guarded.
 package main
 
 import (
@@ -81,16 +85,15 @@ func main() {
 	}
 }
 
+// guardedScenarios maps -scenario numbers to the registry scenario whose
+// campaign -guard executes.
+var guardedScenarios = map[int]string{1: "fig10", 2: "decommission"}
+
 // runGuarded executes the scenario's campaign form under the guard and
 // prints the decision log and outcome.
 func runGuarded(scenario int, seed int64, envSpec string, maxRetries int) error {
-	var name string
-	switch scenario {
-	case 1:
-		name = "fig10"
-	case 2:
-		name = "decommission"
-	default:
+	name, ok := guardedScenarios[scenario]
+	if !ok {
 		return fmt.Errorf("scenario %d has no campaign form to guard (use -scenario 1 or 2)", scenario)
 	}
 	env, err := guard.ParseEnvelope(envSpec)

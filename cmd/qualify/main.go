@@ -18,81 +18,62 @@ import (
 	"os"
 	"sort"
 
-	"centralium/internal/controller"
 	"centralium/internal/fabric"
 	"centralium/internal/migrate"
 	"centralium/internal/qualify"
 	"centralium/internal/topo"
-	"centralium/internal/traffic"
 )
 
 // suites builds the named qualification specs fresh (each owns a network).
 func suites(seed int64) map[string]func() qualify.Spec {
-	fig10 := func() (*fabric.Network, controller.Intent) {
-		tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
-		n := fabric.New(tp, fabric.Options{Seed: seed})
-		n.OriginateAt(topo.EBID(0), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-		n.Converge()
-		intent := controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity)
-		return n, intent
+	// base stands up a registry scenario's converged fleet as a spec
+	// rolling out the scenario's intent, plus the scenario's watch set.
+	base := func(name, title string) (qualify.Spec, []topo.DeviceID) {
+		s, err := migrate.ScenarioNamed(name)
+		var n *fabric.Network
+		if err == nil {
+			n, err = s.Build(seed)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qualify: %v\n", err)
+			os.Exit(1)
+		}
+		return qualify.Spec{
+			Name:           title,
+			Net:            n,
+			Intent:         s.Intent(n.Topo),
+			OriginAltitude: s.OriginAltitude,
+			Workload:       s.Demands(n.Topo),
+		}, s.Watch(n.Topo)
 	}
-	fas := []topo.DeviceID{topo.FAID(0), topo.FAID(1)}
 
 	return map[string]func() qualify.Spec{
 		"equalization": func() qualify.Spec {
-			n, intent := fig10()
-			return qualify.Spec{
-				Name:           "equalization (bottom-up)",
-				Net:            n,
-				Intent:         intent,
-				OriginAltitude: topo.LayerEB.Altitude(),
-				Workload:       traffic.UniformDemands(n.Topo.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100),
-				Invariants: []qualify.Invariant{
-					qualify.NoBlackholes(),
-					qualify.NoLoops(),
-					qualify.FunnelBound(fas, 0.75),
-					qualify.MinPaths(topo.FAID(0), "0.0.0.0/0", 2),
-				},
+			spec, fas := base("fig10", "equalization (bottom-up)")
+			spec.Invariants = []qualify.Invariant{
+				qualify.NoBlackholes(),
+				qualify.NoLoops(),
+				qualify.FunnelBound(fas, 0.75),
+				qualify.MinPaths(topo.FAID(0), "0.0.0.0/0", 2),
 			}
+			return spec
 		},
 		"equalization-topdown": func() qualify.Spec {
-			n, intent := fig10()
-			return qualify.Spec{
-				Name:           "equalization (top-down, the Figure 10 hazard)",
-				Net:            n,
-				Intent:         intent,
-				OriginAltitude: topo.LayerEB.Altitude(),
-				Removal:        true, // wrong order on purpose
-				Workload:       traffic.UniformDemands(n.Topo.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100),
-				Invariants: []qualify.Invariant{
-					qualify.NoBlackholes(),
-					qualify.FunnelBound(fas, 0.75),
-				},
+			spec, fas := base("fig10", "equalization (top-down, the Figure 10 hazard)")
+			spec.Removal = true // wrong order on purpose
+			spec.Invariants = []qualify.Invariant{
+				qualify.NoBlackholes(),
+				qualify.FunnelBound(fas, 0.75),
 			}
+			return spec
 		},
 		"protection": func() qualify.Spec {
-			mesh := topo.BuildMesh(topo.MeshParams{Planes: 2, Grids: 4, PerGroup: 4})
-			n := fabric.New(mesh, fabric.Options{Seed: seed})
-			for i := 0; i < 2; i++ {
-				n.OriginateAt(topo.EBID(i), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
+			spec, _ := base("decommission", "capacity protection (§4.4.2)")
+			spec.Invariants = []qualify.Invariant{
+				qualify.NoBlackholes(),
+				qualify.NoLoops(),
 			}
-			n.Converge()
-			var targets []topo.DeviceID
-			for plane := 0; plane < 2; plane++ {
-				targets = append(targets, topo.SSWID(plane, 0))
-			}
-			return qualify.Spec{
-				Name:           "capacity protection (§4.4.2)",
-				Net:            n,
-				Intent:         controller.CapacityProtectionIntent(targets, migrate.BackboneCommunity, 75, true, 4),
-				OriginAltitude: topo.LayerEB.Altitude(),
-				Workload:       traffic.UniformDemands(mesh.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100),
-				Invariants: []qualify.Invariant{
-					qualify.NoBlackholes(),
-					qualify.NoLoops(),
-				},
-			}
+			return spec
 		},
 	}
 }

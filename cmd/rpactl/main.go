@@ -8,6 +8,11 @@
 //	rpactl -scenario expansion -device ssw.pl0.0 -cmd show
 //	rpactl -scenario expansion -device ssw.pl0.0 -cmd explain -prefix 0.0.0.0/0
 //	rpactl -scenario fig9      -device r6        -cmd fib
+//	rpactl -scenario decommission -cmd explain -prefix 0.0.0.0/0
+//
+// Besides expansion and fig9, -scenario accepts every migration-registry
+// scenario (fig10, decommission, pod-drain): its converged base with the
+// scenario's RPA intent rolled out.
 package main
 
 import (
@@ -15,6 +20,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"strings"
 
 	"centralium/internal/bgp"
 	"centralium/internal/controller"
@@ -27,7 +33,7 @@ import (
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "expansion", "scenario to stand up: expansion | mesh | fig9")
+		scenario = flag.String("scenario", "expansion", "scenario to stand up: "+scenarioNames())
 		device   = flag.String("device", "", "device to inspect (default: a scenario-appropriate one)")
 		command  = flag.String("cmd", "show", "show | explain | fib")
 		prefix   = flag.String("prefix", "0.0.0.0/0", "prefix for -cmd explain")
@@ -85,26 +91,6 @@ func buildScenario(name string, seed int64) (*fabric.Network, topo.DeviceID, err
 		n.Converge()
 		return n, topo.SSWID(0, 0), nil
 
-	case "mesh":
-		mesh := topo.BuildMesh(topo.MeshParams{})
-		n := fabric.New(mesh, fabric.Options{Seed: seed})
-		for i := 0; i < 2; i++ {
-			n.OriginateAt(topo.EBID(i), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-		}
-		n.Converge()
-		var targets []topo.DeviceID
-		for plane := 0; plane < 2; plane++ {
-			targets = append(targets, topo.SSWID(plane, 0))
-		}
-		intent := controller.CapacityProtectionIntent(targets, migrate.BackboneCommunity, 75, true, 2)
-		for dev, cfg := range intent {
-			if err := n.DeployRPA(dev, cfg); err != nil {
-				return nil, "", err
-			}
-		}
-		n.Converge()
-		return n, topo.SSWID(0, 0), nil
-
 	case "fig9":
 		tp := topo.BuildFig9(100)
 		tp.AddDevice(topo.Device{ID: "r0", Layer: topo.LayerGeneric, Pod: -1, Plane: -1, Grid: -1})
@@ -129,5 +115,36 @@ func buildScenario(name string, seed int64) (*fabric.Network, topo.DeviceID, err
 		n.Converge()
 		return n, topo.GenericID(6), nil
 	}
-	return nil, "", fmt.Errorf("unknown scenario %q (want expansion | mesh | fig9)", name)
+	return registryScenario(name, seed)
+}
+
+// registryScenario stands up a migration-registry scenario's converged
+// base with the scenario's intent rolled out. It inspects the first
+// protected device by default, else the first watched one.
+func registryScenario(name string, seed int64) (*fabric.Network, topo.DeviceID, error) {
+	s, err := migrate.ScenarioNamed(name)
+	if err != nil {
+		return nil, "", fmt.Errorf("unknown scenario %q (want %s)", name, scenarioNames())
+	}
+	n, err := s.Build(seed)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := s.Deploy(n, n.DeployRPA); err != nil {
+		return nil, "", err
+	}
+	dev := s.Watch(n.Topo)[0]
+	if len(s.Protected) > 0 {
+		dev = s.Protected[0]
+	}
+	return n, dev, nil
+}
+
+// scenarioNames lists every scenario -scenario accepts.
+func scenarioNames() string {
+	names := []string{"expansion", "fig9"}
+	for _, s := range migrate.Scenarios() {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, " | ")
 }

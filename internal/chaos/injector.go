@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"centralium/internal/bgp"
+	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
-	"centralium/internal/migrate"
 	"centralium/internal/topo"
 )
 
@@ -81,7 +81,7 @@ func (i *Injector) DisturbedAt(t int64) bool { return t < i.disturbedUntil }
 
 // WrapDeploy applies the plan's controller push delay to an RPA deploy
 // hook. With no push delay planned it returns the hook unchanged.
-func (i *Injector) WrapDeploy(push migrate.DeployFunc) migrate.DeployFunc {
+func (i *Injector) WrapDeploy(push controller.DeployFunc) controller.DeployFunc {
 	if i.plan.PushDelay == 0 {
 		return push
 	}

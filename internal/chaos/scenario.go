@@ -32,8 +32,26 @@ func (a Arm) String() string {
 	return "native"
 }
 
-// Scenarios lists the migration scenarios Run accepts.
-func Scenarios() []string { return []string{"decommission", "pod-drain"} }
+// Scenarios lists the migration scenarios Run accepts: the registry
+// entries that have a drain body.
+func Scenarios() []string {
+	var names []string
+	for _, s := range migrate.Scenarios() {
+		if len(s.Drains) > 0 {
+			names = append(names, s.Name)
+		}
+	}
+	return names
+}
+
+// lookup returns the registry entry of one of Scenarios().
+func lookup(name string) (migrate.Scenario, error) {
+	s, err := migrate.ScenarioNamed(name)
+	if err != nil || len(s.Drains) == 0 {
+		return migrate.Scenario{}, fmt.Errorf("chaos: unknown scenario %q (have %v)", name, Scenarios())
+	}
+	return s, nil
+}
 
 // RunParams configures one chaos run.
 type RunParams struct {
@@ -93,34 +111,31 @@ type RunResult struct {
 }
 
 // Run executes one migration scenario under chaos: build and converge the
-// rig, deploy the protective RPA (RPA arm only, through the possibly
-// delayed push path), arm the seeded faults, attach the continuous
+// scenario's base, deploy the protective RPA (RPA arm only, through the
+// possibly delayed push path), arm the seeded faults, attach the continuous
 // monitor, run the migration to quiescence, then sweep the full invariant
 // suite.
 func Run(p RunParams) (RunResult, error) {
-	var rig *migrate.ChaosRig
-	switch p.Scenario {
-	case "decommission":
-		rig = migrate.DecommissionRig(p.Seed)
-	case "pod-drain":
-		rig = migrate.PodDrainRig(p.Seed)
-	default:
-		return RunResult{}, fmt.Errorf("chaos: unknown scenario %q (have %v)", p.Scenario, Scenarios())
+	n, err := BaseNet(p.Scenario, p.Seed)
+	if err != nil {
+		return RunResult{}, err
 	}
-	return runOnRig(rig, p)
+	return RunOn(n, p)
 }
 
 // BaseNet builds a scenario's pre-migration steady-state network — the
 // state a chaos checkpoint captures — without running any migration.
 // Callers snapshot it once and fork per arm/seed to warm-start sweeps.
 func BaseNet(scenario string, seed int64) (*fabric.Network, error) {
-	switch scenario {
-	case "decommission":
-		return migrate.DecommissionRig(seed).Net, nil
-	case "pod-drain":
-		return migrate.PodDrainRig(seed).Net, nil
+	s, err := lookup(scenario)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("chaos: unknown scenario %q (have %v)", scenario, Scenarios())
+	n, err := s.Build(seed)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s base: %w", scenario, err)
+	}
+	return n, nil
 }
 
 // RunOn executes the run on an existing network holding the scenario's
@@ -129,41 +144,35 @@ func BaseNet(scenario string, seed int64) (*fabric.Network, error) {
 // network and seed, so RunOn on a restored checkpoint reproduces the
 // original run's log byte-for-byte.
 func RunOn(n *fabric.Network, p RunParams) (RunResult, error) {
-	rig, err := migrate.RigOn(p.Scenario, n)
+	s, err := lookup(p.Scenario)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("chaos: %w", err)
+		return RunResult{}, err
 	}
-	return runOnRig(rig, p)
-}
-
-func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
-	n := rig.Net
 
 	// Capture the last clean quiescent point up front (cheap: state only,
 	// no disk) so an unhealthy ending can drop it for replay.
 	var checkpoint *snapshot.Snapshot
 	if p.CheckpointDir != "" {
-		var err error
 		checkpoint, err = snapshot.Capture(n)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("chaos: pre-migration checkpoint: %w", err)
 		}
 	}
 
-	plan := NewPlan(n, p.Seed, PlanOptions{Count: p.Faults, Span: rig.Span + 30*time.Millisecond})
+	plan := NewPlan(n, p.Seed, PlanOptions{Count: p.Faults, Span: s.Span() + 30*time.Millisecond})
 	inj := NewInjector(n, plan, p.Grace)
 
 	if p.Arm == ArmRPA {
 		push := inj.WrapDeploy(func(dev topo.DeviceID, cfg *core.Config) error {
 			return n.DeployRPA(dev, cfg)
 		})
-		if err := rig.DeployRPA(push); err != nil {
-			return RunResult{}, fmt.Errorf("chaos: %s RPA rollout: %w", rig.Name, err)
+		if err := s.Deploy(n, push); err != nil {
+			return RunResult{}, fmt.Errorf("chaos: %s RPA rollout: %w", s.Name, err)
 		}
 		n.Converge()
 	}
 
-	cfg := CheckConfig{Net: n, Demands: rig.Demands, Prefixes: rig.Prefixes, Protected: rig.Protected}
+	cfg := CheckConfig{Net: n, Demands: s.Demands(n.Topo), Prefixes: s.Prefixes, Protected: s.Protected}
 	mon := NewMonitor(cfg, inj)
 	if p.SampleEvery > 0 {
 		mon.SampleEvery = p.SampleEvery
@@ -171,13 +180,13 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 	mon.Attach()
 
 	inj.Arm()
-	rig.Migration()
+	s.ScheduleDrains(n)
 	events := n.Converge()
 
 	quiescent := CheckQuiescent(cfg)
 
 	res := RunResult{
-		Scenario:            rig.Name,
+		Scenario:            s.Name,
 		Arm:                 p.Arm,
 		Seed:                p.Seed,
 		FaultsInjected:      inj.Injected(),
@@ -209,14 +218,14 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 	res.Log = b.String()
 
 	if checkpoint != nil && (res.EffectiveViolations > 0 || len(res.Quiescent) > 0) {
-		checkpoint.Meta[metaScenario] = rig.Name
+		checkpoint.Meta[metaScenario] = s.Name
 		checkpoint.Meta[metaArm] = p.Arm.String()
 		checkpoint.Meta[metaSeed] = strconv.FormatInt(p.Seed, 10)
 		checkpoint.Meta[metaFaults] = strconv.Itoa(p.Faults)
 		checkpoint.Meta[metaGrace] = p.Grace.String()
 		checkpoint.Meta[metaSampleEvery] = strconv.Itoa(p.SampleEvery)
 		path := filepath.Join(p.CheckpointDir,
-			fmt.Sprintf("chaos-%s-%s-seed%d.csnp", rig.Name, p.Arm, p.Seed))
+			fmt.Sprintf("chaos-%s-%s-seed%d.csnp", s.Name, p.Arm, p.Seed))
 		if err := checkpoint.Save(path); err != nil {
 			return res, fmt.Errorf("chaos: save checkpoint: %w", err)
 		}

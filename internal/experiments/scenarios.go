@@ -243,16 +243,19 @@ func Fig9(seed int64) string {
 // RPA deployed bottom-up (the §5.3.2 rule) vs top-down (uncoordinated),
 // measuring transient funneling across the FA layer.
 func Fig10(seed int64) string {
+	sc, err := migrate.ScenarioNamed("fig10")
+	if err != nil {
+		panic(err)
+	}
 	run := func(sequenced bool) (peak, final float64) {
-		tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
-		n := fabric.New(tp, fabric.Options{Seed: seed})
-		n.OriginateAt(topo.EBID(0), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-		n.Converge()
-
-		intent := controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity)
-		fas := []topo.DeviceID{topo.FAID(0), topo.FAID(1)}
-		demands := traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100)
+		n, err := sc.Build(seed)
+		if err != nil {
+			panic(err)
+		}
+		tp := n.Topo
+		intent := sc.Intent(tp)
+		fas := sc.Watch(tp)
+		demands := sc.Demands(tp)
 		pr := &traffic.Propagator{Net: n}
 		n.OnEvent(func(int64) {
 			if _, share := pr.Run(demands).MaxDeviceShare(fas); share > peak {
@@ -267,7 +270,7 @@ func Fig10(seed int64) string {
 		}
 		rollout := controller.Rollout{
 			Intent:          intent,
-			OriginAltitude:  topo.LayerEB.Altitude(),
+			OriginAltitude:  sc.OriginAltitude,
 			SettlePerDevice: true, // devices pick RPAs up one at a time
 		}
 		if !sequenced {

@@ -1,113 +1,53 @@
 package planner
 
-// Named scenario setups: each builds a converged base fabric, captures
-// it, and returns the planning parameters for one of the repo's
-// migration scenarios. planctl and the E12 experiment plan the same
-// setups, so a CLI run reproduces an experiment's schedule exactly.
+// Named scenario setups: each builds a converged base fabric from the
+// migrate scenario registry, captures it, and returns the planning
+// parameters for that scenario. planctl and the E12 experiment plan the
+// same setups, so a CLI run reproduces an experiment's schedule exactly.
 
 import (
 	"fmt"
+	"slices"
 
-	"centralium/internal/controller"
-	"centralium/internal/fabric"
 	"centralium/internal/migrate"
 	"centralium/internal/snapshot"
-	"centralium/internal/topo"
-	"centralium/internal/traffic"
 )
 
 // ScenarioNames lists the named setups, in display order.
 func ScenarioNames() []string {
-	return []string{"fig10", "decommission", "pod-drain"}
+	var names []string
+	for _, s := range migrate.Scenarios() {
+		names = append(names, s.Name)
+	}
+	return names
 }
 
 // ScenarioSetup builds a named scenario's converged base snapshot and
 // planning parameters. The seed feeds both the fabric (event jitter) and
-// the planner (candidate generation).
+// the planner (candidate generation). The scenario's intent is the
+// searched rollout; its drain body, if any, replays on every terminal
+// candidate to measure the transient the intent exists to prevent.
 func ScenarioSetup(name string, seed int64) (*snapshot.Snapshot, Params, error) {
-	switch name {
-	case "fig10":
-		return fig10Setup(seed)
-	case "decommission":
-		return rigSetup("decommission", seed)
-	case "pod-drain":
-		return rigSetup("pod-drain", seed)
-	}
-	return nil, Params{}, fmt.Errorf("planner: unknown scenario %q (have %v)", name, ScenarioNames())
-}
-
-// fig10Setup is the §5.3.2 sequencing scenario: the equalization RPA
-// over the FSW/SSW/FA column of Figure 10, watching the FA layer for
-// transient funneling. There is no drain body; the schedule itself is
-// the whole hazard.
-func fig10Setup(seed int64) (*snapshot.Snapshot, Params, error) {
-	tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
-	n := fabric.New(tp, fabric.Options{Seed: seed})
-	n.OriginateAt(topo.EBID(0), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-	n.Converge()
-	snap, err := snapshot.Capture(n)
+	s, err := migrate.ScenarioNamed(name)
 	if err != nil {
-		return nil, Params{}, fmt.Errorf("planner: fig10 base: %w", err)
+		return nil, Params{}, fmt.Errorf("planner: %w", err)
 	}
-	p := Params{
-		Seed: seed,
-		Intent: controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity),
-		OriginAltitude: topo.LayerEB.Altitude(),
-		Demands:        traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100),
-		Watch:          []topo.DeviceID{topo.FAID(0), topo.FAID(1)},
-	}
-	return snap, p, nil
-}
-
-// rigSetup plans one of the chaos-rig migrations (decommission,
-// pod-drain): the protective RPA's deployment schedule is searched, and
-// every terminal candidate replays the rig's drain body to measure the
-// transient the protection exists for.
-func rigSetup(name string, seed int64) (*snapshot.Snapshot, Params, error) {
-	var rig *migrate.ChaosRig
-	switch name {
-	case "decommission":
-		rig = migrate.DecommissionRig(seed)
-	case "pod-drain":
-		rig = migrate.PodDrainRig(seed)
-	}
-	snap, err := snapshot.Capture(rig.Net)
+	n, err := s.Build(seed)
 	if err != nil {
 		return nil, Params{}, fmt.Errorf("planner: %s base: %w", name, err)
 	}
-	intent, origin, err := migrate.ProtectiveIntent(name)
+	snap, err := snapshot.Capture(n)
 	if err != nil {
-		return nil, Params{}, err
-	}
-	drains, stagger, err := migrate.DrainSchedule(name)
-	if err != nil {
-		return nil, Params{}, err
+		return nil, Params{}, fmt.Errorf("planner: %s base: %w", name, err)
 	}
 	p := Params{
 		Seed:           seed,
-		Intent:         intent,
-		OriginAltitude: origin,
-		Demands:        rig.Demands,
-		Watch:          watchFor(rig),
-		Drain:          drains,
-		DrainStaggerNs: int64(stagger),
+		Intent:         s.Intent(n.Topo),
+		OriginAltitude: s.OriginAltitude,
+		Demands:        s.Demands(n.Topo),
+		Watch:          s.Watch(n.Topo),
+		Drain:          slices.Clone(s.Drains),
+		DrainStaggerNs: int64(s.Stagger),
 	}
 	return snap, p, nil
-}
-
-// watchFor picks the funneling watch set for a rig: the layer the
-// scenario funnels onto (FADUs for the decommission mesh, SSWs for the
-// pod drain), falling back to the protected devices.
-func watchFor(rig *migrate.ChaosRig) []topo.DeviceID {
-	for _, layer := range []topo.Layer{topo.LayerFADU, topo.LayerSSW} {
-		var out []topo.DeviceID
-		for _, d := range rig.Net.Topo.ByLayer(layer) {
-			out = append(out, d.ID)
-		}
-		if len(out) > 0 {
-			return out
-		}
-	}
-	return rig.Protected
 }
