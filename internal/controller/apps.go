@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"regexp"
+	"sync/atomic"
 
 	"centralium/internal/core"
 	"centralium/internal/te"
@@ -15,13 +16,12 @@ import (
 // compiles a high-level operator intent into per-switch RPA configs
 // (controller function 2: per-switch RPA generation).
 
-// nextVersion tags generated configs; monotonic per process.
-var nextVersion int64
+// nextVersion tags generated configs; monotonic per process. Intents
+// compile concurrently (centraliumd builds distinct scenario bases in
+// parallel), so the counter is atomic.
+var nextVersion atomic.Int64
 
-func version() int64 {
-	nextVersion++
-	return nextVersion
-}
+func version() int64 { return nextVersion.Add(1) }
 
 // App 1 — Path Equalization (Section 4.4.1, fixes the Figure 2 first-router
 // problem): on every device of the target layers, select all paths for the
