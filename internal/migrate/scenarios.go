@@ -227,6 +227,35 @@ func Scenario2Base(p Scenario2Params) *fabric.Network {
 	return n
 }
 
+// scenario packages the decommission at p's geometry as a registry entry:
+// the capacity-protection RPA on the SSWs of the decommissioned number,
+// watched on the FADU layer, and a drain body that takes every FADU of
+// that number down 20ms apart, then the matching SSWs.
+func (p Scenario2Params) scenario() Scenario {
+	p.setDefaults()
+	num := p.DecommissionNumber
+	ssws := deviceIDs(p.Planes, func(pl int) topo.DeviceID { return topo.SSWID(pl, num) })
+	fadus := deviceIDs(p.Grids, func(g int) topo.DeviceID { return topo.FADUID(g, num) })
+	return Scenario{
+		Name: "decommission",
+		Build: func(seed int64) (*fabric.Network, error) {
+			q := p
+			q.Seed = seed
+			return Scenario2Base(q), nil
+		},
+		Intent: func(*topo.Topology) controller.Intent {
+			return controller.CapacityProtectionIntent(ssws, BackboneCommunity, p.MinNextHopPercent, p.KeepFibWarm, p.Grids)
+		},
+		OriginAltitude: topo.LayerEB.Altitude(),
+		Demands:        northbound,
+		Prefixes:       []netip.Prefix{DefaultRoute},
+		Protected:      ssws,
+		WatchLayer:     topo.LayerFADU,
+		Drains:         append(fadus, ssws...),
+		Stagger:        20 * time.Millisecond,
+	}
+}
+
 // RunScenario2 executes the Figure 4 decommission: all FADUs of one number
 // are drained with jitter, then the matching SSWs. Without RPA, the last
 // live FADU of that number funnels every same-numbered SSW's traffic; with
@@ -242,30 +271,15 @@ func RunScenario2(p Scenario2Params) Scenario2Result {
 // computation, byte for byte.
 func RunScenario2On(n *fabric.Network, p Scenario2Params) Scenario2Result {
 	p.setDefaults()
-	mesh := n.Topo
-
-	num := p.DecommissionNumber
+	s := p.scenario()
 	if p.UseRPA {
-		var targets []topo.DeviceID
-		for plane := 0; plane < p.Planes; plane++ {
-			targets = append(targets, topo.SSWID(plane, num))
-		}
-		intent := controller.CapacityProtectionIntent(targets, BackboneCommunity, p.MinNextHopPercent, p.KeepFibWarm, p.Grids)
-		ctl := &controller.Controller{
-			Topo:   mesh,
-			Deploy: func(d topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(d, cfg) },
-			Settle: func() { n.Converge() },
-		}
-		if err := ctl.Run(controller.Rollout{Intent: intent, OriginAltitude: topo.LayerEB.Altitude()}); err != nil {
+		if err := s.Deploy(n, n.DeployRPA); err != nil {
 			panic("scenario2: RPA rollout failed: " + err.Error())
 		}
 	}
 
-	var fadus []topo.DeviceID
-	for _, d := range mesh.ByLayer(topo.LayerFADU) {
-		fadus = append(fadus, d.ID)
-	}
-	demands := traffic.UniformDemands(mesh.ByLayer(topo.LayerFSW), DefaultRoute, 100)
+	fadus := s.Watch(n.Topo)
+	demands := s.Demands(n.Topo)
 	pr := &traffic.Propagator{Net: n}
 
 	res := Scenario2Result{FairShare: 1 / float64(len(fadus))}
@@ -299,22 +313,7 @@ func RunScenario2On(n *fabric.Network, p Scenario2Params) Scenario2Result {
 		}
 	})
 
-	// Drain all FADU-num devices with stagger, then the SSW-num devices.
-	i := 0
-	for grid := 0; grid < p.Grids; grid++ {
-		g := grid
-		n.After(time.Duration(i)*20*time.Millisecond, func() {
-			n.SetDrained(topo.FADUID(g, num), true)
-		})
-		i++
-	}
-	for plane := 0; plane < p.Planes; plane++ {
-		pl := plane
-		n.After(time.Duration(i)*20*time.Millisecond, func() {
-			n.SetDrained(topo.SSWID(pl, num), true)
-		})
-		i++
-	}
+	s.ScheduleDrains(n)
 	res.Events = n.Converge()
 	return res
 }
