@@ -12,6 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -190,7 +191,7 @@ func RunGuardBench(seed int64) GuardStats {
 func GuardBench(seed int64) string {
 	st := cachedGuardBench(seed)
 	var b strings.Builder
-	fmt.Fprintf(&b, "clean fig10 campaign (%d waves):\n", st.Waves)
+	fmt.Fprintf(&b, "clean fig10 campaign (%d waves, cores=%d):\n", st.Waves, runtime.NumCPU())
 	fmt.Fprintf(&b, "  %-12s %10.1f ms\n", "unguarded", ms(st.Unguarded))
 	fmt.Fprintf(&b, "  %-12s %10.1f ms  (%.2fx)\n", "guarded", ms(st.Guarded),
 		float64(st.Guarded)/float64(st.Unguarded))
@@ -213,6 +214,7 @@ func GuardBenchRows(seed int64) []Row {
 			"unguarded_ms": ms(st.Unguarded),
 			"guarded_ms":   ms(st.Guarded),
 			"overhead_x":   float64(st.Guarded) / float64(st.Unguarded),
+			"cores":        float64(runtime.NumCPU()),
 		},
 	}}
 	for _, r := range st.Rollbacks {

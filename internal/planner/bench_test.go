@@ -8,7 +8,7 @@ import (
 // benchSetup is the small fig10 planning problem both benchmarks share:
 // the SSW+FA column (4 devices), so the exhaustive sweep stays at 24
 // permutations and the two numbers are directly comparable.
-func benchSetup(b *testing.B) (snapEnc []byte, p Params) {
+func benchSetup(b testing.TB) (snapEnc []byte, p Params) {
 	b.Helper()
 	snap, params, err := ScenarioSetup("fig10", 42)
 	if err != nil {

@@ -101,7 +101,7 @@ func (s *Search) Checkpoint() ([]byte, error) {
 		cp.Memo = append(cp.Memo, mc)
 	}
 	s.mu.Unlock()
-	return json.MarshalIndent(cp, "", "  ")
+	return json.Marshal(cp)
 }
 
 // ResumeSearch rebuilds a search from a checkpoint. The resumed search

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -139,5 +141,43 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		if done {
 			return // interrupted past the final level; every boundary covered
 		}
+	}
+}
+
+// TestResumeIndentedCheckpoint: checkpoints used to be written with
+// json.MarshalIndent. A journaled one from that era (fig10 seed 42, the
+// SSW+FA column, beam 2, frozen after level 1) must still resume, finish
+// on the winner the uninterrupted search picks, and re-checkpoint to the
+// same JSON in compact form.
+func TestResumeIndentedCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_indented_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte("\n  \"")) {
+		t.Fatal("fixture is not indented; it no longer covers the old form")
+	}
+	s, err := ResumeSearch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, compact.Bytes()) {
+		t.Fatal("resumed checkpoint does not re-encode to the compacted fixture")
+	}
+	res, err := RunJournaled(s, JournalFunc(func(int, []byte) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ssw.pl0.0,ssw.pl0.1 > fa.0,fa.1"
+	if got := res.Winner.String(); got != want {
+		t.Fatalf("resumed winner %q, want %q", got, want)
 	}
 }

@@ -283,7 +283,8 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		step = func() (bool, error) { return search.StepJournaled(journal) }
 	}
 	done := search.IsDone()
-	for levels := 0; !done; levels++ {
+	levels := 0
+	for ; !done; levels++ {
 		if req.MaxLevels > 0 && levels >= req.MaxLevels {
 			break
 		}
@@ -297,11 +298,15 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			return errorResult(http.StatusInternalServerError, "plan %s: %v", id, err)
 		}
 	}
-	cp, err := search.Checkpoint()
-	if err != nil {
-		return errorResult(http.StatusInternalServerError, "checkpoint plan %s: %v", id, err)
+	// A journaled level already left its checkpoint in pe.checkpoint,
+	// and nothing has run since; only an unjournaled search takes one.
+	if s.persist == nil || levels == 0 {
+		cp, err := search.Checkpoint()
+		if err != nil {
+			return errorResult(http.StatusInternalServerError, "checkpoint plan %s: %v", id, err)
+		}
+		pe.checkpoint = cp
 	}
-	pe.checkpoint = cp
 
 	resp := &PlanResponse{
 		PlanID:      id,

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -156,11 +157,13 @@ func (l *Log) recover() error {
 	// complete, valid header; such a file holds no durable records and
 	// is discarded. Anywhere else a bad header is interior corruption.
 	last := len(segs) - 1
+	var buf []byte
 	for i := range segs {
-		data, err := os.ReadFile(segs[i].path)
+		data, err := readSegment(segs[i].path, buf)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
+		buf = data
 		base, hdrErr := parseSegHeader(data, segs[i].base)
 		if hdrErr != nil {
 			if i == last {
@@ -222,6 +225,30 @@ func (l *Log) recover() error {
 	l.size = size
 	l.next = act.base + act.count
 	return nil
+}
+
+// readSegment reads a whole segment file into buf's storage, growing it
+// only when the file is larger, so a pass over every segment allocates
+// for the largest one rather than for their sum.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(st.Size())
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // parseSegHeader validates a segment header against the base its file
@@ -362,11 +389,13 @@ func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	all := append(append([]segment(nil), l.segs...), l.active)
+	var buf []byte
 	for _, s := range all {
-		data, err := os.ReadFile(s.path)
+		data, err := readSegment(s.path, buf)
 		if err != nil {
 			return fmt.Errorf("store: replay: %w", err)
 		}
+		buf = data
 		body := data[min(segHeaderSize, len(data)):]
 		idx := s.base
 		off := 0

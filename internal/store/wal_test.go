@@ -7,6 +7,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"runtime"
 	"testing"
 )
 
@@ -78,6 +80,74 @@ func TestRotationKeepsIndicesContiguous(t *testing.T) {
 	}
 	if next != n {
 		t.Fatalf("replayed %d records, want %d", next, n)
+	}
+}
+
+// TestSegmentPassesReuseOneBuffer: recovery and replay read segments
+// through one reused buffer, so a pass over a 4-segment log allocates
+// about one segment's worth, not the sum of all four.
+func TestSegmentPassesReuseOneBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{Sync: SyncNever, SegmentBytes: 256 << 10})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	payload := bytes.Repeat([]byte{0xab}, 60<<10)
+	for l.SegmentCount() < 4 || l.active.count < 4 {
+		if _, err := l.Append(1, payload); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := int64(0)
+	for _, s := range segs {
+		st, err := os.Stat(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, st.Size())
+	}
+	if len(segs) != 4 {
+		t.Fatalf("built %d segments, want 4", len(segs))
+	}
+	limit := uint64(2 * largest)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err = OpenLog(dir, Options{Sync: SyncNever, SegmentBytes: 256 << 10})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= limit {
+		t.Fatalf("recovering 4 segments allocated %d bytes, want < %d (2x the largest segment)", alloc, limit)
+	}
+
+	records := 0
+	runtime.ReadMemStats(&before)
+	err = l.Replay(func(r Record) error {
+		if !bytes.Equal(r.Data, payload) {
+			return fmt.Errorf("record %d: payload mismatch", r.Index)
+		}
+		records++
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if records != 16 {
+		t.Fatalf("replayed %d records, want 16", records)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= limit {
+		t.Fatalf("replaying 4 segments allocated %d bytes, want < %d (2x the largest segment)", alloc, limit)
 	}
 }
 
