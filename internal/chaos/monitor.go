@@ -54,11 +54,10 @@ func (m *Monitor) Attach() {
 	m.cfg.Net.OnEvent(m.sample)
 }
 
-// Emit implements telemetry.Tap: any event that can change forwarding
+// Emit implements telemetry.Tap: any event that changes routing state
 // marks the fleet dirty for the next sample.
 func (m *Monitor) Emit(ev telemetry.Event) {
-	switch ev.Kind {
-	case telemetry.KindFIBWrite, telemetry.KindBestPath, telemetry.KindSessionUp, telemetry.KindSessionDown:
+	if ev.Kind.ChangesRouting() {
 		m.dirty = true
 	}
 }

@@ -65,6 +65,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// ChangesRouting reports whether an event of this kind marks a change of
+// routing state: a session coming up or going down, a best-path change or
+// a FIB write. Samplers that re-propagate traffic through the FIBs use it
+// to skip samples at which nothing changed since the last one.
+func (k Kind) ChangesRouting() bool {
+	switch k {
+	case KindSessionUp, KindSessionDown, KindBestPath, KindFIBWrite:
+		return true
+	}
+	return false
+}
+
 // MarshalJSON renders the kind as its name.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
