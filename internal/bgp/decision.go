@@ -3,6 +3,7 @@ package bgp
 import (
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 
 	"centralium/internal/core"
@@ -87,7 +88,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		return
 	}
 
-	cands := s.gather(p)
+	cands := s.gather(st)
 	if len(cands) == 0 {
 		st.hasRep, st.hasRepSel = false, false
 		s.fibTbl.Remove(p)
@@ -199,23 +200,18 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	s.advertise(p, st, &cands[advIdx].attrs, cands[advIdx].session, aggBW)
 }
 
-// gather collects candidates from all sessions in deterministic order.
-// (Every peer session has an Adj-RIB-In map and vice versa, so the shared
-// session order covers exactly the adjIn key set.)
-func (s *Speaker) gather(p netip.Prefix) []candidate {
-	var out []candidate
-	if !s.fullRecompute {
-		out = s.candScratch[:0]
-	}
-	for _, sess := range s.sessionOrder() {
-		if attrs, ok := s.adjIn[sess][p]; ok {
-			out = append(out, candidate{attrs: attrs, session: sess})
-		}
+// gather returns the prefix's candidates: its Adj-RIB-In, kept in session
+// order so the decision process sees them deterministically. The
+// incremental engine reads the RIB in place (the pipeline never mutates or
+// retains candidates); the oracle takes its own copy per run.
+func (s *Speaker) gather(st *prefixState) []candidate {
+	if st == nil {
+		return nil
 	}
 	if !s.fullRecompute {
-		s.candScratch = out
+		return st.rib
 	}
-	return out
+	return append([]candidate(nil), st.rib...)
 }
 
 func allIdx(c []candidate) []int {
@@ -484,6 +480,51 @@ func uitoa(v uint32) string {
 	return string(buf[i:])
 }
 
+// advKeyMatches reports whether key == advKeyOf(path, comms, origin)
+// without building the right-hand key: duplicate suppression runs for every
+// eligible session on every advertise, and the key string is needed only
+// when the advertisement changed. It walks key piece by piece in the order
+// advKeyOf concatenates them; up to eight communities are ordered on the
+// stack.
+func advKeyMatches(key string, path []uint32, comms []string, origin core.Origin) bool {
+	var digits [10]byte
+	for _, asn := range path {
+		d := strconv.AppendUint(digits[:0], uint64(asn), 10)
+		if len(key) < 1+len(d) || key[0] != ' ' || key[1:1+len(d)] != string(d) {
+			return false
+		}
+		key = key[1+len(d):]
+	}
+	if len(key) == 0 || key[0] != '|' {
+		return false
+	}
+	key = key[1:]
+	var idx [8]int
+	order := idx[:0]
+	for i := range comms {
+		// Insertion sort of indices; equal strings are interchangeable.
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && comms[order[j-1]] > comms[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for k, i := range order {
+		if k > 0 {
+			if len(key) == 0 || key[0] != ',' {
+				return false
+			}
+			key = key[1:]
+		}
+		if !strings.HasPrefix(key, comms[i]) {
+			return false
+		}
+		key = key[len(comms[i]):]
+	}
+	return len(key) > 0 && key[0] == '|' && key[1:] == origin.String()
+}
+
 // advertise sends the chosen route to every eligible session, and
 // withdrawals to sessions that previously heard this prefix but are no
 // longer eligible.
@@ -528,26 +569,28 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 			continue
 		}
 
-		// Prepend own ASN (1 + maintenance prepend) onto the path.
-		path := make([]uint32, 0, 1+pr.prepend+len(route.ASPath))
+		// Prepend own ASN (1 + maintenance prepend) onto the path, built
+		// in scratch: only a changed advertisement takes its own copy.
+		path := s.pathScratch[:0]
 		for i := 0; i <= pr.prepend; i++ {
 			path = append(path, s.cfg.ASN)
 		}
 		path = append(path, route.ASPath...)
+		s.pathScratch = path
 
 		bw := 0.0
 		if s.cfg.WCMP == WCMPDistributed {
 			bw = aggBW
 		}
-		key := advKeyOf(path, route.Communities, route.Origin)
-		if prev, ok := st.advertised[sess]; ok && prev.pathKey == key && prev.bw == bw {
+		if prev, ok := st.advertised[sess]; ok && prev.bw == bw && advKeyMatches(prev.pathKey, path, route.Communities, route.Origin) {
 			continue // nothing changed on this session
 		}
+		key := advKeyOf(path, route.Communities, route.Origin)
 		st.advertised[sess] = adv{pathKey: key, bw: bw, pathLen: len(path)}
 		s.stats.UpdatesSent++
 		s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{
 			Prefix:            p,
-			ASPath:            path,
+			ASPath:            append([]uint32(nil), path...),
 			Communities:       append([]string(nil), route.Communities...),
 			Origin:            route.Origin,
 			LinkBandwidthGbps: bw,

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"centralium/internal/core"
@@ -97,22 +98,28 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 	}
 	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats}
 
-	for _, sess := range s.Peers() {
+	sessions := s.Peers()
+	for _, sess := range sessions {
 		pr := s.peers[sess]
 		st.Peers = append(st.Peers, PeerState{
 			Session: sess, Device: pr.device, ASN: pr.asn,
 			LinkGbps: pr.linkGbps, Prepend: pr.prepend,
 		})
-		rib := AdjRIBInState{Session: sess}
-		ps := make([]netip.Prefix, 0, len(s.adjIn[sess]))
-		for p := range s.adjIn[sess] {
-			ps = append(ps, p)
+		st.AdjIn = append(st.AdjIn, AdjRIBInState{Session: sess})
+	}
+
+	known := make([]netip.Prefix, 0, len(s.prefixes))
+	for p := range s.prefixes {
+		known = append(known, p)
+	}
+	sortPrefixes(known)
+	// Walking prefixes in order fills each session's routes in prefix
+	// order.
+	for _, p := range known {
+		for _, c := range s.prefixes[p].rib {
+			i, _ := slices.BinarySearch(sessions, c.session)
+			st.AdjIn[i].Routes = append(st.AdjIn[i].Routes, cloneAttrs(c.attrs))
 		}
-		sortPrefixes(ps)
-		for _, p := range ps {
-			rib.Routes = append(rib.Routes, cloneAttrs(s.adjIn[sess][p]))
-		}
-		st.AdjIn = append(st.AdjIn, rib)
 	}
 
 	origins := make([]netip.Prefix, 0, len(s.originated))
@@ -131,11 +138,6 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 		})
 	}
 
-	known := make([]netip.Prefix, 0, len(s.prefixes))
-	for p := range s.prefixes {
-		known = append(known, p)
-	}
-	sortPrefixes(known)
 	for _, p := range known {
 		b := s.prefixes[p]
 		pb := PrefixBookState{Prefix: p, Baseline: b.baseline, HasLast: b.hasLast, Last: b.last}
@@ -181,15 +183,13 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 			session: p.Session, device: p.Device, asn: p.ASN,
 			linkGbps: p.LinkGbps, prepend: p.Prepend,
 		}
-		s.adjIn[p.Session] = make(map[netip.Prefix]core.RouteAttrs)
 	}
 	for _, rib := range st.AdjIn {
-		m := s.adjIn[rib.Session]
-		if m == nil {
+		if s.peers[rib.Session] == nil {
 			return nil, fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, rib.Session)
 		}
 		for _, r := range rib.Routes {
-			m[r.Prefix] = cloneAttrs(r)
+			s.state(r.Prefix).ribSet(rib.Session, cloneAttrs(r))
 		}
 	}
 	for _, o := range st.Originated {
@@ -201,19 +201,16 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 		}
 	}
 	for _, pb := range st.Prefixes {
-		b := &prefixState{
-			advertised: make(map[SessionID]adv, len(pb.Advertised)),
-			baseline:   pb.Baseline,
-			last:       pb.Last,
-			hasLast:    pb.HasLast,
-		}
+		// The prefix's state may already hold its Adj-RIB-In.
+		b := s.state(pb.Prefix)
+		b.advertised = make(map[SessionID]adv, len(pb.Advertised))
+		b.baseline, b.last, b.hasLast = pb.Baseline, pb.Last, pb.HasLast
 		for _, a := range pb.Advertised {
 			if s.peers[a.Session] == nil {
 				return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
 			}
 			b.advertised[a.Session] = adv{pathKey: a.PathKey, bw: a.BW, pathLen: a.PathLen}
 		}
-		s.prefixes[pb.Prefix] = b
 	}
 
 	if len(st.RPA) > 0 {

@@ -140,6 +140,10 @@ type adv struct {
 
 // prefixState is per-prefix bookkeeping.
 type prefixState struct {
+	// rib is the prefix's Adj-RIB-In: the route received on each session
+	// that holds one, sorted by session ID (the decision process's
+	// candidate order). Only live peers appear: RemovePeer drops theirs.
+	rib        []candidate
 	advertised map[SessionID]adv
 	// baseline is the high-water count of distinct candidate next-hop
 	// devices, the denominator for percentage MinNextHop thresholds.

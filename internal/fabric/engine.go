@@ -16,7 +16,6 @@
 package fabric
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -39,37 +38,85 @@ type delivery struct {
 	epoch int
 }
 
-// event is one scheduled engine entry: either a control callback (fn) or a
-// message delivery (dlv). out/taps buffer a delivery's side effects during
+// event is one scheduled engine entry: a control callback (fn) or, when fn
+// is nil, a message delivery (dlv, held inline so a message costs no
+// allocation of its own). out/taps buffer a delivery's side effects during
 // the parallel phase so the merge phase can replay them in event order.
 type event struct {
 	at  int64 // virtual nanoseconds
 	seq int64 // tie-break for equal timestamps: FIFO
 	fn  func()
-	dlv *delivery
+	dlv delivery
 
 	out  []bgp.OutMsg
 	taps []telemetry.Event
 }
 
+// isDelivery reports whether the event is a message delivery.
+func (ev *event) isDelivery() bool { return ev.fn == nil }
+
+// eventHeap is a binary min-heap of events ordered by (at, seq). The order
+// is total (seq is unique), so the pop sequence is independent of the heap
+// layout.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
+
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	last := len(old) - 1
+	old[0], old[last] = old[last], old[0]
+	old[:last].down(0)
+	ev := old[last]
+	old[last] = nil
+	*h = old[:last]
+	return ev
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // engine is the virtual clock and event queue.
@@ -79,6 +126,13 @@ type engine struct {
 	queue eventHeap
 	seed  int64
 	rng   *seededRNG
+
+	// free recycles executed events into new ones, and batch is the
+	// parallel path's window buffer. Both hold only storage, never live
+	// events, and both are released when the queue drains, so a converged
+	// fabric retains no engine storage beyond its (empty) queue.
+	free  []*event
+	batch []*event
 
 	processed int64
 	// batched counts events that executed through the parallel batch path;
@@ -101,22 +155,43 @@ func newEngine(seed int64) *engine {
 	return &engine{seed: seed, rng: newSeededRNG(seed, 0)}
 }
 
-// schedule enqueues fn at the given absolute virtual time (clamped to now).
-func (e *engine) schedule(at int64, fn func()) {
+// enqueue stamps an event from the free list (or a new one) with the
+// given absolute virtual time (clamped to now) and the next sequence
+// number, pushes it, and returns it for the caller to fill in.
+func (e *engine) enqueue(at int64) *event {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+	var ev *event
+	if k := len(e.free); k > 0 {
+		ev = e.free[k-1]
+		e.free[k-1] = nil
+		e.free = e.free[:k-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq = at, e.seq
+	e.queue.push(ev)
+	return ev
+}
+
+// recycle returns an executed event to the free list, dropping every
+// reference it holds.
+func (e *engine) recycle(ev *event) {
+	*ev = event{}
+	e.free = append(e.free, ev)
+}
+
+// schedule enqueues fn at the given absolute virtual time (clamped to now).
+func (e *engine) schedule(at int64, fn func()) {
+	e.enqueue(at).fn = fn
 }
 
 // scheduleDelivery enqueues a message delivery at the given virtual time.
+// The delivery is copied into the event, so d need not outlive the call.
 func (e *engine) scheduleDelivery(at int64, d *delivery) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, dlv: d})
+	e.enqueue(at).dlv = *d
 }
 
 // after enqueues fn delay nanoseconds from now.
@@ -161,35 +236,40 @@ func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 	}
 	var n int64
 	for len(e.queue) > 0 && n < maxEvents && e.queue[0].at <= deadline {
-		if e.workers > 1 && len(e.hooks) == 0 && e.queue[0].dlv != nil {
+		if e.workers > 1 && len(e.hooks) == 0 && e.queue[0].isDelivery() {
 			batch := e.collectBatch(deadline, maxEvents-n)
 			if len(batch) > 1 {
 				e.net.execBatch(batch)
-				n += int64(len(batch))
-				e.processed += int64(len(batch))
 				e.batched += int64(len(batch))
-				continue
+			} else {
+				// Window of one: run it serially (no fan-out overhead).
+				e.now = batch[0].at
+				e.net.deliver(&batch[0].dlv)
 			}
-			// Window of one: run it serially (no fan-out overhead).
-			ev := batch[0]
-			e.now = ev.at
-			e.net.deliver(ev.dlv)
-			n++
-			e.processed++
+			n += int64(len(batch))
+			e.processed += int64(len(batch))
+			for i, ev := range batch {
+				e.recycle(ev)
+				batch[i] = nil
+			}
 			continue
 		}
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.queue.pop()
 		e.now = ev.at
-		if ev.dlv != nil {
-			e.net.deliver(ev.dlv)
+		if ev.isDelivery() {
+			e.net.deliver(&ev.dlv)
 		} else {
 			ev.fn()
 		}
+		e.recycle(ev)
 		n++
 		e.processed++
 		for _, h := range e.hooks {
 			h(e.now)
 		}
+	}
+	if len(e.queue) == 0 {
+		e.free, e.batch = nil, nil
 	}
 	return n
 }
@@ -200,20 +280,22 @@ func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 // new events no earlier than head.at+lookahead, so the collected batch is
 // exactly the set of events the sequential engine would process over the
 // same span; a control event (fn) bounds the window because it may mutate
-// shared fleet state (sessions, device power) mid-span.
+// shared fleet state (sessions, device power) mid-span. The result reuses
+// the engine's batch buffer and is valid until the next call.
 func (e *engine) collectBatch(deadline, budget int64) []*event {
 	horizon := e.queue[0].at + e.lookahead
 	if horizon < e.queue[0].at { // overflow guard for astronomical clocks
 		horizon = math.MaxInt64
 	}
-	var batch []*event
+	batch := e.batch[:0]
 	for len(e.queue) > 0 && int64(len(batch)) < budget {
 		h := e.queue[0]
-		if h.dlv == nil || h.at >= horizon || h.at > deadline {
+		if !h.isDelivery() || h.at >= horizon || h.at > deadline {
 			break
 		}
-		batch = append(batch, heap.Pop(&e.queue).(*event))
+		batch = append(batch, e.queue.pop())
 	}
+	e.batch = batch
 	return batch
 }
 

@@ -117,6 +117,20 @@ type session struct {
 	// flight the message dies with its TCP connection instead of being
 	// delivered into the new incarnation after resync.
 	epoch int
+	// lastAt is the last scheduled delivery time toward each endpoint
+	// (index 0 toward a, 1 toward b), so messages in one direction stay
+	// ordered, as over TCP. hasLast marks the directions that have carried
+	// a message: exactly the checkpoint's FIFO entries.
+	lastAt  [2]int64
+	hasLast [2]bool
+}
+
+// dir is the FIFO slot of deliveries toward device to.
+func (s *session) dir(to topo.DeviceID) int {
+	if to == s.a {
+		return 0
+	}
+	return 1
 }
 
 // Node is one emulated switch: the device record plus its BGP speaker.
@@ -161,9 +175,6 @@ type Network struct {
 	eng      *engine
 	nodes    map[topo.DeviceID]*Node
 	sessions map[bgp.SessionID]*session
-	// fifo tracks the last scheduled delivery time per (session, receiver)
-	// so messages on one session stay ordered, as over TCP.
-	fifo map[string]int64
 	// perturb, when set, is consulted for every outgoing message.
 	perturb Perturber
 	// tap is the fleet-wide telemetry sink; per-node shims route to it.
@@ -180,7 +191,6 @@ func New(t *topo.Topology, opts Options) *Network {
 		eng:      newEngine(opts.Seed),
 		nodes:    make(map[topo.DeviceID]*Node),
 		sessions: make(map[bgp.SessionID]*session),
-		fifo:     make(map[string]int64),
 	}
 	n.eng.net = n
 	n.eng.workers = opts.Workers
@@ -249,9 +259,13 @@ func (n *Network) teardown(s *session) {
 }
 
 // flush drains one speaker's outbox, scheduling deliveries with base
-// latency plus seeded jitter, preserving per-session FIFO order.
+// latency plus seeded jitter, preserving per-session FIFO order. routeMsgs
+// consumes the messages before returning, so the speaker keeps its outbox
+// buffer for the next run.
 func (n *Network) flush(dev topo.DeviceID) {
-	n.routeMsgs(dev, n.nodes[dev].Speaker.TakeOutbox())
+	sp := n.nodes[dev].Speaker
+	n.routeMsgs(dev, sp.Outbox())
+	sp.ClearOutbox()
 }
 
 // routeMsgs schedules one batch of outgoing messages from dev. This is the
@@ -286,11 +300,11 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 			}
 		}
 		at := n.eng.now + delay
-		key := string(m.Session) + ">" + string(target)
-		if last := n.fifo[key]; at <= last {
-			at = last + 1
+		dir := s.dir(target)
+		if at <= s.lastAt[dir] {
+			at = s.lastAt[dir] + 1
 		}
-		n.fifo[key] = at
+		s.lastAt[dir], s.hasLast[dir] = at, true
 		n.eng.scheduleDelivery(at, &delivery{sess: m.Session, to: target, u: m.Update, epoch: s.epoch})
 	}
 }

@@ -76,7 +76,7 @@ func (n *Network) execBatch(batch []*event) {
 		// One device: no parallelism to extract; step sequentially.
 		for _, ev := range batch {
 			n.eng.now = ev.at
-			n.deliver(ev.dlv)
+			n.deliver(&ev.dlv)
 		}
 		return
 	}
@@ -140,7 +140,7 @@ func (n *Network) execBatch(batch []*event) {
 // delivery-only window, so evaluating them here matches sequential timing.
 func (n *Network) handleGroup(evs []*event) {
 	for _, ev := range evs {
-		d := ev.dlv
+		d := &ev.dlv
 		node := n.nodes[d.to]
 		if node == nil || !node.up {
 			continue

@@ -15,7 +15,6 @@ package fabric
 //     caller re-attaches them after restore (they carry no protocol state).
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -50,7 +49,8 @@ type NodeState struct {
 	Speaker bgp.SpeakerState
 }
 
-// FIFOState is one (session, receiver) last-delivery-time entry.
+// FIFOState is one (session, receiver) last-delivery-time entry. Key is
+// the session ID and the receiving device joined by ">".
 type FIFOState struct {
 	Key string
 	At  int64
@@ -90,7 +90,7 @@ func cloneUpdate(u bgp.Update) bgp.Update {
 // convergence phase.
 func (n *Network) ExportState() (*NetState, error) {
 	for _, ev := range n.eng.queue {
-		if ev.dlv == nil {
+		if !ev.isDelivery() {
 			return nil, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(ev.at))
 		}
 	}
@@ -148,14 +148,14 @@ func (n *Network) ExportState() (*NetState, error) {
 		})
 	}
 
-	keys := make([]string, 0, len(n.fifo))
-	for k := range n.fifo {
-		keys = append(keys, k)
+	for _, s := range n.sessions {
+		for dir, end := range [2]topo.DeviceID{s.a, s.b} {
+			if s.hasLast[dir] {
+				st.FIFO = append(st.FIFO, FIFOState{Key: fifoKey(s.id, end), At: s.lastAt[dir]})
+			}
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		st.FIFO = append(st.FIFO, FIFOState{Key: k, At: n.fifo[k]})
-	}
+	sort.Slice(st.FIFO, func(i, j int) bool { return st.FIFO[i].Key < st.FIFO[j].Key })
 	return st, nil
 }
 
@@ -222,7 +222,6 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		},
 		nodes:    make(map[topo.DeviceID]*Node),
 		sessions: make(map[bgp.SessionID]*session),
-		fifo:     make(map[string]int64, len(st.FIFO)),
 	}
 	n.eng.net = n
 	n.eng.workers = workers
@@ -271,7 +270,11 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	}
 
 	for _, f := range st.FIFO {
-		n.fifo[f.Key] = f.At
+		s, dir := n.fifoSlot(f.Key)
+		if s == nil {
+			return nil, fmt.Errorf("fabric: FIFO entry %q names no session endpoint", f.Key)
+		}
+		s.lastAt[dir], s.hasLast[dir] = f.At, true
 	}
 
 	n.eng.queue = make(eventHeap, 0, len(st.Queue))
@@ -282,7 +285,7 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		n.eng.queue = append(n.eng.queue, &event{
 			at:  q.At,
 			seq: q.Seq,
-			dlv: &delivery{
+			dlv: delivery{
 				sess:  bgp.SessionID(q.Session),
 				to:    topo.DeviceID(q.To),
 				u:     cloneUpdate(q.Update),
@@ -290,8 +293,35 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			},
 		})
 	}
-	heap.Init(&n.eng.queue)
+	n.eng.queue.init()
 	return n, nil
+}
+
+// fifoKey names one session direction in the checkpoint's FIFO table.
+func fifoKey(id bgp.SessionID, to topo.DeviceID) string {
+	return string(id) + ">" + string(to)
+}
+
+// fifoSlot resolves a FIFO key to its session and direction (nil when no
+// session endpoint matches). Device and session names may themselves
+// contain ">", so every split point is tried.
+func (n *Network) fifoSlot(key string) (*session, int) {
+	for i := 0; i < len(key); i++ {
+		if key[i] != '>' {
+			continue
+		}
+		s := n.sessions[bgp.SessionID(key[:i])]
+		if s == nil {
+			continue
+		}
+		switch to := topo.DeviceID(key[i+1:]); to {
+		case s.a:
+			return s, 0
+		case s.b:
+			return s, 1
+		}
+	}
+	return nil, 0
 }
 
 // Step processes up to maxEvents pending events (<=0 means the default

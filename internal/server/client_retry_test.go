@@ -24,11 +24,11 @@ func shedServer(t *testing.T, n int64, retryAfter string) (*httptest.Server, *at
 				w.Header().Set("Retry-After", retryAfter)
 			}
 			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write(encodeBody(&ErrorResponse{Error: "queue full"}))
+			w.Write(mustEncodeBody(&ErrorResponse{Error: "queue full"}))
 			return
 		}
 		w.WriteHeader(http.StatusOK)
-		w.Write(encodeBody(&HealthResponse{Status: "ok"}))
+		w.Write(mustEncodeBody(&HealthResponse{Status: "ok"}))
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &calls
@@ -124,7 +124,7 @@ func TestClientDoesNotRetryOtherErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		w.Write(encodeBody(&ErrorResponse{Error: "bad request"}))
+		w.Write(mustEncodeBody(&ErrorResponse{Error: "bad request"}))
 	}))
 	t.Cleanup(ts.Close)
 	var slept []time.Duration

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 
 	"centralium/internal/planner"
 	"centralium/internal/topo"
@@ -361,13 +362,26 @@ func checkScenario(name string) error {
 	return fmt.Errorf("unknown scenario %q (have %v)", name, planner.ScenarioNames())
 }
 
+// marshalBody renders response values; tests substitute it to force an
+// encoding failure.
+var marshalBody = json.Marshal
+
 // encodeBody renders a response value in the canonical form every
-// handler uses: compact JSON plus one trailing newline.
-func encodeBody(v any) []byte {
-	data, err := json.Marshal(v)
+// handler uses: compact JSON plus one trailing newline. It fails only on
+// values JSON cannot represent (a NaN or infinite float, say); handlers
+// answer such a failure with encodeFailed.
+func encodeBody(v any) ([]byte, error) {
+	data, err := marshalBody(v)
 	if err != nil {
-		// Response types marshal by construction; a failure is a bug.
-		panic(fmt.Sprintf("server: encode response: %v", err))
+		return nil, fmt.Errorf("encode response: %w", err)
 	}
-	return append(data, '\n')
+	return append(data, '\n'), nil
+}
+
+// encodeFailed answers a response that could not be encoded with a 500
+// ErrorResponse. Its body holds one string, which always marshals, so it
+// bypasses the substitutable marshaller.
+func encodeFailed(err error) result {
+	data, _ := json.Marshal(&ErrorResponse{Error: err.Error()})
+	return result{status: http.StatusInternalServerError, body: append(data, '\n')}
 }

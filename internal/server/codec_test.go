@@ -225,7 +225,7 @@ func TestExplainRequestValidate(t *testing.T) {
 }
 
 func TestEncodeBodyShape(t *testing.T) {
-	body := encodeBody(&ErrorResponse{Error: "x"})
+	body := mustEncodeBody(&ErrorResponse{Error: "x"})
 	if string(body) != "{\"error\":\"x\"}\n" {
 		t.Errorf("canonical body: %q", body)
 	}

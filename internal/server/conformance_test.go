@@ -270,7 +270,7 @@ func TestConformanceMidFlightDrain(t *testing.T) {
 	}
 	wg.Wait()
 
-	drainBody := string(encodeBody(&ErrorResponse{Error: "server draining"}))
+	drainBody := string(mustEncodeBody(&ErrorResponse{Error: "server draining"}))
 	completed, rejected := 0, 0
 	for i, r := range live {
 		switch {
@@ -312,7 +312,7 @@ func TestDrainWaitsForOrphanedDeadline(t *testing.T) {
 	if rec.status != http.StatusGatewayTimeout {
 		t.Fatalf("deadline request: status %d, want 504 (body %s)", rec.status, rec.body)
 	}
-	wantBody := string(encodeBody(&ErrorResponse{Error: "deadline exceeded"}))
+	wantBody := string(mustEncodeBody(&ErrorResponse{Error: "deadline exceeded"}))
 	if rec.body != wantBody {
 		t.Fatalf("deadline body %q, want %q", rec.body, wantBody)
 	}

@@ -268,7 +268,10 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 			return errorResult(http.StatusInternalServerError, "execute %s: fingerprint: %v", id, ferr)
 		}
 		resp.FinalFingerprint = fp
-		body := encodeBody(resp)
+		body, err := encodeBody(resp)
+		if err != nil {
+			return encodeFailed(err)
+		}
 		ee.final = body
 		if s.persist != nil {
 			if perr := s.persist.saveExecFinal(id, body); perr != nil {

@@ -328,7 +328,10 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		baseScore := res.BaselineScore
 		resp.BaselineScore = &baseScore
 		resp.FromBaseline = res.FromBaseline
-		body := encodeBody(resp)
+		body, err := encodeBody(resp)
+		if err != nil {
+			return encodeFailed(err)
+		}
 		pe.final = body
 		if s.persist != nil {
 			if err := s.persist.savePlanFinal(id, body); err != nil {

@@ -209,9 +209,14 @@ type result struct {
 	body   []byte
 }
 
-// jsonResult renders a response value.
+// jsonResult renders a response value, or a 500 when it cannot be
+// encoded.
 func jsonResult(status int, v any) result {
-	return result{status: status, body: encodeBody(v)}
+	body, err := encodeBody(v)
+	if err != nil {
+		return encodeFailed(err)
+	}
+	return result{status: status, body: body}
 }
 
 // errorResult renders the canonical error body.
